@@ -326,6 +326,8 @@ def _history_line(record: dict) -> str:
 
 def _history_diff(old: dict, new: dict) -> List[str]:
     """Field-by-field comparison lines of two ledger records."""
+    from repro.obs.regress import digest_version
+
     lines = [
         "diff %s (%s) -> %s (%s)"
         % (
@@ -345,7 +347,9 @@ def _history_diff(old: dict, new: dict) -> List[str]:
         marker = " " if before == after else "*"
         lines.append(f"  {marker} {field:<17} {before!r:>24} -> {after!r}")
     if old.get("matrix_digest") == new.get("matrix_digest"):
-        if old.get("result_digest") != new.get("result_digest"):
+        if digest_version(old) != digest_version(new):
+            lines.append("  (result digests use different schemes -- comparison not meaningful)")
+        elif old.get("result_digest") != new.get("result_digest"):
             lines.append(
                 "  !! result digest changed on an identical matrix -- results are "
                 "no longer bit-identical (correctness alarm)"

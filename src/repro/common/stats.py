@@ -78,7 +78,10 @@ class StatGroup:
         return self._counters[name]
 
     def add(self, name: str, amount: int = 1) -> None:
-        self.counter(name).add(amount)
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = StatCounter(name)
+        counter.value += amount
 
     def get(self, name: str) -> int:
         counter = self._counters.get(name)

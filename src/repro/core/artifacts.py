@@ -42,7 +42,7 @@ import os
 import uuid
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -118,9 +118,8 @@ class BundleArtifacts:
     def store_stream(self, key: Tuple, matrix: np.ndarray) -> None:
         self._store(_stream_file(key), matrix)
 
-    def load_context_hashes(self, depth: int) -> Optional[List[int]]:
-        arr = self._load(f"ctxhash_{depth}.npy")
-        return None if arr is None else arr.tolist()
+    def load_context_hashes(self, depth: int) -> Optional[np.ndarray]:
+        return self._load(f"ctxhash_{depth}.npy")
 
     def store_context_hashes(self, depth: int, hashes: Sequence[int]) -> None:
         self._store(f"ctxhash_{depth}.npy", np.asarray(hashes, dtype=np.uint64))
@@ -278,7 +277,7 @@ class ArtifactStore:
             _atomic_save(directory / f"{column}.npy", np.asarray(getattr(trace, column), dtype=dtype))
         contexts = bundle.contexts
         _atomic_save(directory / "ctx_values.npy", np.asarray(contexts._values, dtype=np.uint64))
-        _atomic_save(directory / "ctx_prefix.npy", np.asarray(contexts.ub_prefix, dtype=np.int64))
+        _atomic_save(directory / "ctx_prefix.npy", np.asarray(contexts._prefix, dtype=np.int64))
         meta = {
             "key": key,
             "name": trace.name,

@@ -8,6 +8,10 @@ prediction)`` and ``on_unconditional(t, pc, target)`` can be simulated,
 which is exactly the interface of :class:`repro.tage.TageSCL` and the
 LLBP wrappers.
 
+A predictor may also handle a whole run of consecutive unconditional
+records in one ``on_unconditional_run(start, end)`` call; the loop prefers
+it to per-record ``on_unconditional`` calls.
+
 Predictors may additionally expose a fused ``step(t, pc, taken) ->
 mispredicted`` kernel performing lookup and training in one call; when
 present the loop drives it instead of ``predict``/``update``, avoiding
@@ -129,6 +133,7 @@ def simulate(
     predict = predictor.predict
     update = predictor.update
     on_unconditional = predictor.on_unconditional
+    on_unconditional_run = getattr(predictor, "on_unconditional_run", None)
 
     mispredictions = 0
     warmup_mispredictions = 0
@@ -140,8 +145,11 @@ def simulate(
     # counting to the per-record loop (tests/test_simulator_runs.py).
     for start, end, is_cond in tensors.kind_runs():
         if not is_cond:
-            for t in range(start, end):
-                on_unconditional(t, pcs[t], targets[t])
+            if on_unconditional_run is not None:
+                on_unconditional_run(start, end)
+            else:
+                for t in range(start, end):
+                    on_unconditional(t, pcs[t], targets[t])
             continue
         split = min(max(start, warmup_end), end)
         if step is not None:

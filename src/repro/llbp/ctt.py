@@ -54,7 +54,10 @@ class ContextTrackingTable:
 
     def lookup(self, context_id: int) -> Optional[CTTEntry]:
         """Probe by shallow context ID; refreshes LRU on hit."""
-        set_index, tag = self._locate(context_id)
+        return self.probe(*self._locate(context_id))
+
+    def probe(self, set_index: int, tag: int) -> Optional[CTTEntry]:
+        """:meth:`lookup` by a precomputed ``(set_index, tag)`` location."""
         ways = self._sets.get(set_index)
         if ways is None:
             return None

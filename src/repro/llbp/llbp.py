@@ -30,7 +30,7 @@ unbounds the sets, ``infinite_contexts`` unbounds the directory, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,11 +40,11 @@ from repro.llbp.config import LLBPConfig
 from repro.llbp.pattern import Pattern, PatternSet, UsefulTracker, make_bucket_ranges
 from repro.llbp.pattern_buffer import PatternBuffer, PBEntry
 from repro.llbp.pattern_store import PatternStore
-from repro.llbp.rcr import CONTEXT_KINDS, ContextStreams
+from repro.llbp.rcr import ContextStreams
 from repro.obs.sampling import active_sampler
 from repro.tage.config import HISTORY_LENGTHS, TageConfig, history_length_index
 from repro.tage.loop_predictor import _CONF_MAX
-from repro.tage.streams import TraceTensors, build_tag_streams
+from repro.tage.streams import TraceTensors, build_tag_streams, typed_array
 from repro.tage.tsl import TSLPrediction, TageSCL
 
 
@@ -87,12 +87,21 @@ class LLBP:
         self.tag_streams = build_tag_streams(
             tensors, HISTORY_LENGTHS, [config.pattern_tag_bits] * len(HISTORY_LENGTHS)
         )
-        self._instr = tensors.instr_index.tolist()
-        self._ub_prefix = self.contexts.ub_prefix
-        self._window = self.contexts.window_hashes(config.context_depth) if not config.no_contextualization else []
-        # per-record flag: does this UB update the rolling context register?
-        # (bytes: 1 byte per record, indexes to plain ints)
-        self._is_context_kind = bytes(np.isin(tensors.kinds, CONTEXT_KINDS).astype(np.uint8))
+        self._instr = tensors.derived(("instr_index",), lambda: typed_array(tensors.instr_index))
+        #: prefetch pipeline active (on-demand modes have none)
+        self._prefetching = not (config.no_contextualization or config.zero_latency)
+        if config.no_contextualization:
+            self._window: Sequence[int] = []  # pattern sets are keyed by pc
+        else:
+            # per-UB window hashes (prefetch-trigger IDs) and the gathered
+            # per-record active context: trace-pure, shared per bundle
+            self._window = self.contexts.window_ids(config.context_depth)
+            self._record_ctx, self._warm_from = self.contexts.tensors.derived(
+                ("llbp_context", config.context_depth, config.prefetch_distance),
+                self._build_record_contexts,
+            )
+        self._ub_bounds = self.contexts.ub_bounds()
+        self._ub_positions = self.contexts.ub_positions()
         self._ub_counter = self.stats.counter("unconditional_branches")
 
         self.store = PatternStore(
@@ -145,13 +154,24 @@ class LLBP:
 
     # -- context handling ----------------------------------------------------------
 
+    @property
+    def _ub_prefix(self) -> List[int]:
+        """Context UBs strictly before each record (see :class:`ContextStreams`)."""
+        return self.contexts.ub_prefix
+
+    def _build_record_contexts(self) -> Tuple[Sequence[int], int]:
+        """(per-record active context ID, first warm record) for this config."""
+        ends, warm_from = self.contexts.record_windows(self.config.prefetch_distance)
+        window = self.contexts.window_hashes(self.config.context_depth)
+        record = window[ends] if len(window) else np.zeros(len(ends), dtype=np.uint64)
+        return typed_array(record, "Q"), warm_from
+
     def _context_of(self, t: int, pc: int) -> int:
         if self.config.no_contextualization:
             return pc
-        end = self._ub_prefix[t] - self.config.prefetch_distance - 1
-        if end < 0:
+        if t < self._warm_from:
             return -1
-        return self._window[end]
+        return self._record_ctx[t]
 
     def _new_set(self, context_id: int) -> PatternSet:
         return PatternSet(
@@ -227,13 +247,23 @@ class LLBP:
     # -- prefetching ------------------------------------------------------------------
 
     def on_unconditional(self, t: int, pc: int, target: int) -> None:
-        self._ub_counter.value += 1
-        if self.config.no_contextualization or self.config.zero_latency:
+        self.on_unconditional_run(t, t + 1)
+
+    def on_unconditional_run(self, start: int, end: int) -> None:
+        """Handle the unconditional records ``start .. end-1`` in order.
+
+        Each context-forming UB triggers a prefetch of the context it
+        will activate; plain jumps do not update the rolling context
+        register, so only the run's context UBs are visited.
+        """
+        self._ub_counter.value += end - start
+        if not self._prefetching:
             return  # on-demand operation; no prefetch pipeline
-        if not self._is_context_kind[t]:
-            return  # plain jumps do not update the rolling context register
-        ub_index = self._ub_prefix[t]  # this UB's own index
-        self._prefetch_context(t, self._prefetch_id(ub_index))
+        prefetch_id = self._prefetch_id
+        prefetch = self._prefetch_context
+        positions = self._ub_positions
+        for ub_index in range(self._ub_bounds[start], self._ub_bounds[end]):
+            prefetch(positions[ub_index], prefetch_id(ub_index))
 
     def _prefetch_id(self, ub_index: int) -> int:
         """Context that becomes active D UBs after ``ub_index`` executes."""
@@ -618,7 +648,7 @@ class LLBP:
         if self.config.no_contextualization or self.config.zero_latency:
             return
         coin = mix64(t)
-        ub_index = self._ub_prefix[t]
+        ub_index = self._ub_bounds[t]
         lookahead = 2 + (coin >> 8) % 3
         # wrong paths reconverge often: most bogus prefetches target a
         # context the correct path will also reach shortly

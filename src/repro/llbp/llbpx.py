@@ -24,7 +24,9 @@ so no retraining is lost on transitions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.llbp.config import LLBPXConfig
 from repro.llbp.ctt import ContextTrackingTable
@@ -32,7 +34,7 @@ from repro.llbp.llbp import LLBP
 from repro.llbp.pattern import Pattern, PatternSet, make_bucket_ranges
 from repro.llbp.rcr import ContextStreams
 from repro.tage.config import HISTORY_LENGTHS, TageConfig, history_length_index
-from repro.tage.streams import TraceTensors
+from repro.tage.streams import TraceTensors, typed_array
 
 #: bit marking a context ID as produced with the deep depth; keeps the two
 #: ID spaces disjoint so a context's depth is recoverable from its ID
@@ -54,14 +56,21 @@ class LLBPX(LLBP):
         tsl: Optional["TageSCL"] = None,
     ) -> None:
         super().__init__(config, tage_config, tensors, context_streams, tsl=tsl)
-        self._shallow_window = self.contexts.window_hashes(config.shallow_depth)
-        self._deep_window = self.contexts.window_hashes(config.deep_depth)
         self.ctt = ContextTrackingTable(
             entries=config.effective_ctt_entries,
             assoc=config.ctt_assoc,
             tag_bits=config.ctt_tag_bits,
             avg_hist_len_bits=config.avg_hist_len_bits,
         )
+        # (shallow ID, deep ID, CTT set, CTT tag) per UB (prefetch triggers)
+        # and per record (active context; shallow ID -1 while cold)
+        key = (
+            "llbpx_context", config.shallow_depth, config.deep_depth,
+            config.prefetch_distance, self.ctt.num_sets, self.ctt.tag_bits,
+        )
+        per_ub, per_record = tensors.derived(key, self._build_depth_streams)
+        self._ub_shallow, self._ub_deep, self._ub_ctt_set, self._ub_ctt_tag = per_ub
+        self._shallow_ids, self._deep_ids, self._ctt_sets, self._ctt_tags = per_record
         self._shallow_indices = sorted(history_length_index(l) for l in config.shallow_lengths)
         self._deep_indices = sorted(history_length_index(l) for l in config.deep_lengths)
         bucket_size = config.bucket_size
@@ -81,31 +90,54 @@ class LLBPX(LLBP):
 
     # -- depth selection -----------------------------------------------------------
 
-    def _shallow_context_of(self, t: int) -> int:
-        end = self._ub_prefix[t] - self.config.prefetch_distance - 1
-        if end < 0:
-            return -1
-        return self._shallow_window[end] & _ID_MASK
+    def _build_depth_streams(self) -> Tuple[Tuple[Sequence[int], ...], Tuple[Sequence[int], ...]]:
+        """The trace-pure half of depth selection, for every UB and record.
 
-    def _is_deep(self, shallow_id: int) -> bool:
+        Only the CTT probe (and its LRU refresh) stays per branch; the
+        IDs it chooses between and the CTT slot it probes are gathered
+        here once per bundle.
+        """
+        config = self.config
+        contexts = self.contexts
+        id_mask = np.uint64(_ID_MASK)
+        shallow = (contexts.window_hashes(config.shallow_depth) & id_mask).astype(np.int64)
+        deep = ((contexts.window_hashes(config.deep_depth) & id_mask) | np.uint64(DEEP_BIT)).astype(np.int64)
+        num_sets = self.ctt.num_sets
+        per_ub = (shallow, deep, shallow % num_sets, (shallow // num_sets) & ((1 << self.ctt.tag_bits) - 1))
+        ends, warm_from = contexts.record_windows(config.prefetch_distance)
+        if contexts.num_ubs:
+            per_record = tuple(column[ends] for column in per_ub)
+        else:
+            per_record = tuple(np.zeros(len(ends), dtype=np.int64) for _ in per_ub)
+        per_record[0][:warm_from] = -1
+        return tuple(typed_array(c) for c in per_ub), tuple(typed_array(c) for c in per_record)
+
+    def _shallow_context_of(self, t: int) -> int:
+        return self._shallow_ids[t]
+
+    def _select_depth(self, i: int, shallow_ids, deep_ids, ctt_sets, ctt_tags) -> int:
+        """The RCR multiplexer: entry ``i``'s shallow or deep ID (-1 while cold).
+
+        The depth comes from a CTT probe by the shallow ID's precomputed
+        location (refreshing its LRU state), or from the Opt-W oracle.
+        """
+        shallow_id = shallow_ids[i]
+        if shallow_id < 0:
+            return -1
         if self._oracle is not None:
-            return self._oracle.get(shallow_id, False)
-        return self.ctt.is_deep(shallow_id)
+            deep = self._oracle.get(shallow_id, False)
+        else:
+            entry = self.ctt.probe(ctt_sets[i], ctt_tags[i])
+            deep = entry is not None and entry.deep
+        return deep_ids[i] if deep else shallow_id
 
     def _context_of(self, t: int, pc: int) -> int:
-        end = self._ub_prefix[t] - self.config.prefetch_distance - 1
-        if end < 0:
-            return -1
-        shallow_id = self._shallow_window[end] & _ID_MASK
-        if self._is_deep(shallow_id):
-            return (self._deep_window[end] & _ID_MASK) | DEEP_BIT
-        return shallow_id
+        return self._select_depth(t, self._shallow_ids, self._deep_ids, self._ctt_sets, self._ctt_tags)
 
     def _prefetch_id(self, ub_index: int) -> int:
-        shallow_id = self._shallow_window[ub_index] & _ID_MASK
-        if self._is_deep(shallow_id):
-            return (self._deep_window[ub_index] & _ID_MASK) | DEEP_BIT
-        return shallow_id
+        return self._select_depth(
+            ub_index, self._ub_shallow, self._ub_deep, self._ub_ctt_set, self._ub_ctt_tag
+        )
 
     # -- depth-dependent pattern-set layout ---------------------------------------------
 

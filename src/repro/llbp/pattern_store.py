@@ -70,7 +70,10 @@ class PatternStore:
         if self.infinite:
             return context_id in self._flat
         set_index, tag = self._locate(context_id)
-        return any(key == tag for key, _ in self._sets.get(set_index, ()))
+        for key, _ in self._sets.get(set_index, ()):
+            if key == tag:
+                return True
+        return False
 
     def insert(self, context_id: int, pattern_set: PatternSet) -> None:
         """Write a (possibly dirty) pattern set back into the store."""

@@ -39,6 +39,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "LEDGER_DIRNAME",
+    "RESULT_DIGEST_VERSION",
     "RunLedger",
     "build_run_record",
     "build_session_record",
@@ -52,6 +53,13 @@ LEDGER_DIRNAME = ".ledger"
 SEGMENT_PREFIX = "segment-"
 SEGMENT_SUFFIX = ".jsonl"
 INDEX_FILENAME = "index.json"
+
+#: scheme of a run record's ``result_digest``, stored with the record as
+#: ``result_digest_version``.  Version 2 hashes ``(cell digest, result)``
+#: pairs in cell-digest order, so -- like the matrix digest -- it does not
+#: depend on the order the cells were submitted in; version 1 (records
+#: without the field) hashed the results in cell order.
+RESULT_DIGEST_VERSION = 2
 
 
 def matrix_digest(cell_digests: Iterable[str]) -> str:
@@ -69,10 +77,11 @@ def matrix_digest(cell_digests: Iterable[str]) -> str:
 def result_digest(result_dicts: Sequence[Mapping[str, object]]) -> str:
     """Identity of *what came out*: hash over the serialized results.
 
-    Results are hashed in cell order (matrix order is deterministic), so
-    for a fixed matrix digest this digest must be bit-stable across
-    re-runs -- simulation is a pure function of the cell key.  A change
-    is flagged as a correctness alarm by :mod:`repro.obs.regress`.
+    Results are hashed in the order given; callers pass them in an order
+    that is fixed for a fixed matrix digest (run records sort them by
+    cell digest), so the digest must be bit-stable across re-runs --
+    simulation is a pure function of the cell key.  A change is flagged
+    as a correctness alarm by :mod:`repro.obs.regress`.
     """
     payload = json.dumps(list(result_dicts), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
@@ -250,13 +259,9 @@ def build_run_record(
     throughput figures the regression watchdog compares.
     """
     from repro.core.results_io import result_to_dict
-    from repro.obs.metrics import merge_snapshots, registry
-    from repro.obs.telemetry import current as obs_current
-    from repro.obs.telemetry import merged_metrics
-
-    from repro.core.results_io import result_to_dict
 
     cell_digests = [runner.digest(workload, name, overrides) for workload, name, overrides in cells]
+    pairs = sorted(zip(cell_digests, results), key=lambda pair: pair[0])
     workloads: List[str] = []
     configs: List[str] = []
     for workload, name, _overrides in cells:
@@ -264,10 +269,12 @@ def build_run_record(
             workloads.append(workload)
         if name not in configs:
             configs.append(name)
-    return _assemble_record(
+    record = _assemble_record(
         runner,
         matrix=matrix_digest(cell_digests),
-        results_id=result_digest([result_to_dict(result) for result in results]),
+        results_id=result_digest(
+            [{"cell": digest, "result": result_to_dict(result)} for digest, result in pairs]
+        ),
         workloads=workloads,
         configs=configs,
         cell_count=len(cells),
@@ -276,6 +283,8 @@ def build_run_record(
         source=source,
         context=context,
     )
+    record["result_digest_version"] = RESULT_DIGEST_VERSION
+    return record
 
 
 def build_session_record(

@@ -10,6 +10,9 @@ alarm:
 * **result digest** -- for a fixed matrix digest the serialized results
   must be bit-identical across runs (simulation is a pure function of
   the cell key).  A mismatch is a *correctness* alarm, not a perf note.
+  A baseline digest made with an older digest scheme
+  (``result_digest_version``) than the record's is not comparable; the
+  record re-baselines it silently.
 * **throughput** -- branches/sec below ``(1 - tolerance)`` of the
   baseline's exponential moving average (only when both runs actually
   simulated; a fully cached replay has no meaningful throughput).
@@ -45,6 +48,7 @@ __all__ = [
     "baseline_key",
     "check_record",
     "check_and_update",
+    "digest_version",
     "flagged_records",
     "load_baselines",
     "save_baselines",
@@ -61,6 +65,11 @@ DEFAULT_HIT_RATE_DROP = 0.25
 DEFAULT_RETRY_SLACK = 2.0
 #: EMA weight of the newest run when folding it into the baseline
 EMA_ALPHA = 0.3
+
+
+def digest_version(record: Mapping[str, object]) -> int:
+    """Digest scheme of a record or baseline (absent: the original, 1)."""
+    return int(record.get("result_digest_version", 1) or 1)
 
 
 def baseline_key(record: Mapping[str, object]) -> str:
@@ -106,7 +115,8 @@ def check_record(
 
     base_digest = baseline.get("result_digest")
     digest = record.get("result_digest")
-    if base_digest and digest and digest != base_digest:
+    comparable = digest_version(baseline) >= digest_version(record)
+    if base_digest and digest and comparable and digest != base_digest:
         flags.append(
             {
                 "kind": "result_digest",
@@ -188,6 +198,7 @@ def update_baseline(
             "cache_hit_rate": hit,
             "retries": retries,
             "result_digest": record.get("result_digest", ""),
+            "result_digest_version": digest_version(record),
             "last_run_id": record.get("run_id", ""),
             "last_ts": record.get("ts", 0.0),
         }
@@ -204,6 +215,7 @@ def update_baseline(
         "cache_hit_rate": ema(float(baseline.get("cache_hit_rate", 0.0) or 0.0), hit),
         "retries": ema(float(baseline.get("retries", 0.0) or 0.0), retries),
         "result_digest": record.get("result_digest", baseline.get("result_digest", "")),
+        "result_digest_version": digest_version(record),
         "last_run_id": record.get("run_id", ""),
         "last_ts": record.get("ts", 0.0),
     }

@@ -28,7 +28,7 @@ makes call paths visible to long-history pattern matching (DESIGN.md §4).
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,6 +139,9 @@ class TraceTensors:
         # predictor instance with the same table geometry shares them
         # (matrix runs build 3+ predictors per trace)
         self._streams: Dict[Tuple, object] = {}
+        # other trace-pure per-record streams (context IDs, SC indices);
+        # cheap to rebuild, so kept in-process only
+        self._derived: Dict[Tuple, object] = {}
         self._kind_runs: List[Tuple[int, int, bool]] = []
 
     def fold(self, length: int, width: int) -> np.ndarray:
@@ -157,6 +160,14 @@ class TraceTensors:
         """Free fold and stream memory (runner calls this between workloads)."""
         self._folds.clear()
         self._streams.clear()
+        self._derived.clear()
+
+    def derived(self, key: Tuple, build: Callable[[], object]) -> object:
+        """``build()``, memoised under ``key`` for every predictor on this trace."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
 
     def kind_runs(self) -> List[Tuple[int, int, bool]]:
         """Maximal runs of same-kind records: ``[(start, end, is_cond), ...]``.
@@ -169,26 +180,22 @@ class TraceTensors:
         if not self._kind_runs and self.num_records:
             cond = self.kinds == np.int8(int(BranchKind.COND))
             boundaries = np.flatnonzero(np.diff(cond.view(np.int8))) + 1
-            edges = [0, *boundaries.tolist(), self.num_records]
-            self._kind_runs = [
-                (edges[i], edges[i + 1], bool(cond[edges[i]])) for i in range(len(edges) - 1)
-            ]
+            starts = [0, *boundaries.tolist()]
+            ends = [*starts[1:], self.num_records]
+            self._kind_runs = list(zip(starts, ends, cond[starts].tolist()))
         return self._kind_runs
 
 
-def _as_array(row: np.ndarray) -> array:
-    """Convert a length-T int64 vector to a compact ``array('l')``.
+def typed_array(values: np.ndarray, typecode: str = "q") -> array:
+    """A numpy vector as a compact fixed-width ``array`` (``q``, ``Q`` or ``i``).
 
     ``array`` indexing returns plain Python ints faster than numpy scalar
-    indexing and stores 8 bytes per element with no object overhead.  On
-    platforms where C ``long`` is 64-bit the bytes are copied directly;
-    elsewhere we fall back to element-wise conversion.
+    indexing and stores the elements with no per-object overhead; the
+    per-branch kernels read every precomputed stream (table indices and
+    tags, context IDs, SC indices) this way.
     """
-    out = array("l")
-    if out.itemsize == 8:
-        out.frombytes(np.ascontiguousarray(row, dtype=np.int64).tobytes())
-    else:  # pragma: no cover - 32-bit long platforms
-        out.extend(row.tolist())
+    out = array(typecode)
+    out.frombytes(np.ascontiguousarray(values, dtype=np.dtype(typecode)).tobytes())
     return out
 
 
@@ -197,7 +204,7 @@ def streams_to_matrix(rows: Sequence[array]) -> np.ndarray:
 
     The inverse of :func:`matrix_to_streams`; the artifact store persists
     the matrix as a single ``.npy`` so a later run reconstructs the
-    ``array('l')`` rows with two bulk copies instead of recomputing folds
+    ``array('q')`` rows with two bulk copies instead of recomputing folds
     and hashes.
     """
     if rows and rows[0].itemsize == 8:
@@ -206,8 +213,8 @@ def streams_to_matrix(rows: Sequence[array]) -> np.ndarray:
 
 
 def matrix_to_streams(matrix: np.ndarray) -> List[array]:
-    """Rebuild per-table ``array('l')`` stream rows from a stored matrix."""
-    return [_as_array(row) for row in np.atleast_2d(matrix)]
+    """Rebuild per-table ``array('q')`` stream rows from a stored matrix."""
+    return [typed_array(row) for row in np.atleast_2d(matrix)]
 
 
 def _cached_stream(tensors: TraceTensors, key: Tuple) -> Optional[List[array]]:
@@ -250,7 +257,7 @@ def build_index_streams(
     for table, (length, bits) in enumerate(zip(lengths, index_bits)):
         fold = tensors.fold(length, WIDE_INDEX_BITS)
         mixed = pcs ^ (pcs >> bits) ^ (np.int64(table + 1) * np.int64(0x9E37)) ^ fold.astype(np.int64)
-        rows.append(_as_array(xor_fold(mixed, max(WIDE_INDEX_BITS, 30), bits)))
+        rows.append(typed_array(xor_fold(mixed, max(WIDE_INDEX_BITS, 30), bits)))
     return _admit_stream(tensors, key, rows)
 
 
@@ -266,7 +273,7 @@ def build_bimodal_stream(tensors: TraceTensors, bim_mask: int) -> array:
     cached = _cached_stream(tensors, key)
     if cached is not None:
         return cached[0]
-    stream = _as_array((tensors.pcs >> np.int64(2)) & np.int64(bim_mask))
+    stream = typed_array((tensors.pcs >> np.int64(2)) & np.int64(bim_mask))
     return _admit_stream(tensors, key, [stream])[0]
 
 
@@ -288,5 +295,5 @@ def build_tag_streams(
         fold1 = tensors.fold(length, WIDE_TAG1_BITS).astype(np.int64)
         fold2 = tensors.fold(length, WIDE_TAG2_BITS).astype(np.int64)
         mixed = pcs ^ (pcs >> 5) ^ fold1 ^ (fold2 << 1)
-        rows.append(_as_array(xor_fold(mixed, max(WIDE_TAG1_BITS + 1, 30), bits)))
+        rows.append(typed_array(xor_fold(mixed, max(WIDE_TAG1_BITS + 1, 30), bits)))
     return _admit_stream(tensors, key, rows)

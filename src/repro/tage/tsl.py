@@ -131,6 +131,9 @@ class TageSCL:
     def on_unconditional(self, t: int, pc: int, target: int) -> None:
         """Unconditional branches need no state change: streams are precomputed."""
 
+    def on_unconditional_run(self, start: int, end: int) -> None:
+        """A run of unconditional records: nothing to do either."""
+
     # -- fused hot path ----------------------------------------------------------
 
     def _build_step(self) -> Callable[[int, int, bool], bool]:

@@ -26,6 +26,11 @@ relies on:
 Lazy truth tables are realised with :func:`repro.common.mix64`: the hash
 of (branch seed, pattern key) *is* the table entry, so tables cost no
 memory and never desynchronise between runs.
+
+Each behaviour's logic lives in its scalar form ``outcome_of(cond_history,
+path_hash, occurrence)``, which the trace generator calls once per
+conditional branch; ``outcome(ctx)`` is the same function over a
+:class:`BehaviorContext` record.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ class Behavior:
         self.seed = seed & ((1 << 64) - 1)
 
     def outcome(self, ctx: BehaviorContext) -> bool:
+        return self.outcome_of(ctx.cond_history, ctx.path_hash, ctx.occurrence)
+
+    def outcome_of(self, cond_history: int, path_hash: int, occurrence: int) -> bool:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -78,8 +86,8 @@ class BiasedBehavior(Behavior):
             raise ValueError(f"p_taken must be in [0, 1], got {p_taken}")
         self.p_taken = p_taken
 
-    def outcome(self, ctx: BehaviorContext) -> bool:
-        draw = mix64(self.seed ^ (ctx.occurrence * 0x2545F4914F6CDD1D))
+    def outcome_of(self, cond_history: int, path_hash: int, occurrence: int) -> bool:
+        draw = mix64(self.seed ^ (occurrence * 0x2545F4914F6CDD1D))
         return draw < self.p_taken * _P_SCALE
 
     def describe(self) -> str:
@@ -113,8 +121,8 @@ class LoopBehavior(Behavior):
             raise ValueError(f"trip_count must be >= 2, got {trip_count}")
         self.trip_count = trip_count
 
-    def outcome(self, ctx: BehaviorContext) -> bool:
-        return (ctx.occurrence % self.trip_count) != self.trip_count - 1
+    def outcome_of(self, cond_history: int, path_hash: int, occurrence: int) -> bool:
+        return (occurrence % self.trip_count) != self.trip_count - 1
 
     def describe(self) -> str:
         return f"loop(trip={self.trip_count})"
@@ -135,8 +143,8 @@ class LocalPatternBehavior(Behavior):
             # Avoid degenerate all-same patterns: use half ones, half zeros.
             self.pattern = mask(length) >> (length // 2)
 
-    def outcome(self, ctx: BehaviorContext) -> bool:
-        return bool((self.pattern >> (ctx.occurrence % self.length)) & 1)
+    def outcome_of(self, cond_history: int, path_hash: int, occurrence: int) -> bool:
+        return bool((self.pattern >> (occurrence % self.length)) & 1)
 
     def describe(self) -> str:
         return f"local_pattern(len={self.length})"
@@ -162,12 +170,13 @@ class GlobalCorrelatedBehavior(Behavior):
             raise ValueError(f"noise must be in [0, 1), got {noise}")
         self.k = k
         self.noise = noise
+        self._key_mask = mask(k)
 
-    def outcome(self, ctx: BehaviorContext) -> bool:
-        key = ctx.cond_history & mask(self.k)
+    def outcome_of(self, cond_history: int, path_hash: int, occurrence: int) -> bool:
+        key = cond_history & self._key_mask
         bit = mix64(self.seed ^ key) & 1
         if self.noise:
-            flip_draw = mix64(self.seed ^ 0xFEED ^ (ctx.occurrence * 0x9E3779B97F4A7C15))
+            flip_draw = mix64(self.seed ^ 0xFEED ^ (occurrence * 0x9E3779B97F4A7C15))
             if flip_draw < self.noise * _P_SCALE:
                 bit ^= 1
         return bool(bit)
@@ -196,12 +205,13 @@ class PathCorrelatedBehavior(Behavior):
             raise ValueError(f"noise must be in [0, 1), got {noise}")
         self.hist_k = hist_k
         self.noise = noise
+        self._hist_mask = mask(hist_k)
 
-    def outcome(self, ctx: BehaviorContext) -> bool:
-        key = mix64(ctx.path_hash ^ self.seed) ^ (ctx.cond_history & mask(self.hist_k) if self.hist_k else 0)
+    def outcome_of(self, cond_history: int, path_hash: int, occurrence: int) -> bool:
+        key = mix64(path_hash ^ self.seed) ^ (cond_history & self._hist_mask)
         bit = mix64(self.seed ^ key) & 1
         if self.noise:
-            flip_draw = mix64(self.seed ^ 0xBEEF ^ (ctx.occurrence * 0x2545F4914F6CDD1D))
+            flip_draw = mix64(self.seed ^ 0xBEEF ^ (occurrence * 0x2545F4914F6CDD1D))
             if flip_draw < self.noise * _P_SCALE:
                 bit ^= 1
         return bool(bit)

@@ -1,27 +1,36 @@
-"""Trace generation: interpret a synthetic :class:`~repro.traces.cfg.Program`.
+"""Trace generation: replay per-request-type templates of a synthetic program.
 
-The generator walks the program's call DAG, emitting one
-:class:`~repro.traces.record.BranchRecord` per executed branch.  It
-maintains exactly the execution context the behaviour models consume:
+A trace is a stream of *requests*; each request is one activation of the
+program's root function.  Structural randomness inside a request
+(callee selection, loop trip counts) comes from a ``random.Random``
+re-seeded from the request *type*, so every request of one type walks the
+identical sequence of branch sites, call paths and loop back-edges.
+Control flow never depends on branch outcomes.  The generator therefore
+walks each request type once into a flat :class:`_RequestTemplate` and
+replays it per request.  Only two things change from one request to the
+next:
 
-* a global register of recent *conditional* outcomes (``cond_history``),
-* a rolling hash of the current call stack (``path_hash``),
-* per-branch occurrence counters.
+* conditional outcomes, which behaviour models compute from the execution
+  context -- a global register of recent conditional outcomes
+  (``cond_history``), a rolling hash of the call stack (``path_hash``,
+  fixed per template position) and per-branch occurrence counters;
+* instruction gaps, drawn from the trace's own ``random.Random``, which
+  also picks each request's type.  Draws happen in a fixed order: the
+  type choice, then one gap per record of the request.
 
-Structural randomness (callee selection, loop trip counts, instruction
-gaps) is drawn from a dedicated ``random.Random`` seeded per trace, so a
-``(program, seed, length)`` triple always produces the identical trace.
+A ``(program, seed, length)`` triple always produces the identical trace.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Callable, Dict, List, Tuple
+
+import numpy as np
 
 from repro.common.bitops import mix64
-from repro.traces.behaviors import BehaviorContext
 from repro.traces.cfg import CallSite, CondSite, Function, JumpSite, LoopSite, Program, Site
-from repro.traces.record import BranchKind, Trace
+from repro.traces.record import COLUMN_DTYPES, BranchKind, Trace
 
 _COND_HISTORY_BITS = 256
 _COND_HISTORY_MASK = (1 << _COND_HISTORY_BITS) - 1
@@ -32,6 +41,126 @@ _COND_HISTORY_MASK = (1 << _COND_HISTORY_BITS) - 1
 #: tests/test_reproducibility.py will catch it) invalidates every cached
 #: simulation without any manual cleanup.
 GENERATOR_VERSION = 1
+
+#: one behaviour-driven conditional branch of a template: shift the
+#: ``shift`` structural outcomes ``bits`` (loop back-edges since the
+#: previous one) into the history, then evaluate ``outcome_of(history,
+#: path_hash, occurrence)`` with the occurrence counter of ``slot``
+_CondEvent = Tuple[int, int, Callable[[int, int, int], bool], int, int]
+
+
+class _RequestTemplate:
+    """The flat record sequence of one request type.
+
+    ``taken`` holds the structural outcomes (unconditional branches and
+    loop back-edges); the behaviour-driven conditionals sit at
+    ``cond_pos`` with ``targets`` holding their taken target, and their
+    outcomes are filled in per request.
+    """
+
+    __slots__ = ("pcs", "targets", "kinds", "taken", "cond_pos", "conds", "tail_shift", "tail_bits")
+
+    def __init__(self) -> None:
+        self.pcs: List[int] = []
+        self.targets: List[int] = []
+        self.kinds: List[int] = []
+        self.taken: List[bool] = []
+        self.cond_pos: List[int] = []
+        self.conds: List[_CondEvent] = []
+        # structural outcomes after the last behaviour-driven conditional
+        self.tail_shift = 0
+        self.tail_bits = 0
+
+    def __len__(self) -> int:
+        return len(self.pcs)
+
+    def freeze(self) -> "_RequestTemplate":
+        """Columns to numpy (the replay concatenates them per request)."""
+        for column in ("pcs", "targets", "kinds", "taken"):
+            setattr(self, column, np.asarray(getattr(self, column), dtype=COLUMN_DTYPES[column]))
+        self.cond_pos = np.asarray(self.cond_pos, dtype=np.int64)
+        self.conds = tuple(self.conds)
+        return self
+
+
+class _TemplateBuilder:
+    """Walks one request of the program into a :class:`_RequestTemplate`."""
+
+    def __init__(self, generator: "TraceGenerator", request_type: int) -> None:
+        self.generator = generator
+        self.rng = random.Random(mix64(generator.seed ^ 0xF00D ^ request_type))
+        self.template = _RequestTemplate()
+        self.path_hashes: List[int] = [mix64(generator.seed ^ 0x57AC)]  # root frame
+
+    def build(self) -> _RequestTemplate:
+        program = self.generator.program
+        self._function(program.root, return_to=program.root.entry_pc)
+        return self.template.freeze()
+
+    def _emit(self, pc: int, target: int, kind: BranchKind, taken: bool) -> None:
+        template = self.template
+        template.pcs.append(pc)
+        template.targets.append(target)
+        template.kinds.append(int(kind))
+        template.taken.append(taken)
+
+    def _structural_outcome(self, taken: bool) -> None:
+        template = self.template
+        template.tail_shift += 1
+        template.tail_bits = ((template.tail_bits << 1) | int(taken)) & _COND_HISTORY_MASK
+
+    def _function(self, function: Function, return_to: int) -> None:
+        for site in function.sites:
+            self._site(site)
+        self._emit(function.exit_pc, return_to, BranchKind.RETURN, True)
+
+    def _site(self, site: Site) -> None:
+        if isinstance(site, CondSite):
+            template = self.template
+            template.cond_pos.append(len(template))
+            template.conds.append(
+                (
+                    template.tail_shift,
+                    template.tail_bits,
+                    site.behavior.outcome_of,
+                    self.generator._occurrence_slot(site.pc),
+                    self.path_hashes[-1],
+                )
+            )
+            template.tail_shift = template.tail_bits = 0
+            self._emit(site.pc, site.target, BranchKind.COND, False)
+        elif isinstance(site, JumpSite):
+            self._emit(site.pc, site.target, BranchKind.JUMP, True)
+        elif isinstance(site, CallSite):
+            callee = self._pick_callee(site)
+            self._emit(site.pc, callee.entry_pc, BranchKind.CALL, True)
+            if len(self.path_hashes) <= self.generator.max_call_depth:
+                self.path_hashes.append(mix64(self.path_hashes[-1] ^ site.pc))
+                self._function(callee, return_to=site.pc + 4)
+                self.path_hashes.pop()
+            else:  # depth limit: treat the call as a leaf no-op
+                self._emit(callee.exit_pc, site.pc + 4, BranchKind.RETURN, True)
+        elif isinstance(site, LoopSite):
+            trips = self._sample_trips(site)
+            for trip in range(trips):
+                for inner in site.body:
+                    self._site(inner)
+                last = trip == trips - 1
+                self._emit(site.pc, site.pc + 4 if last else site.target, BranchKind.COND, not last)
+                self._structural_outcome(not last)
+        else:  # pragma: no cover - exhaustive over the Site union
+            raise TypeError(f"unknown site type: {type(site).__name__}")
+
+    def _pick_callee(self, site: CallSite) -> Function:
+        if len(site.callees) == 1:
+            return site.callees[0]
+        return self.rng.choices(site.callees, weights=site.weights, k=1)[0]
+
+    def _sample_trips(self, site: LoopSite) -> int:
+        if site.mean_trips == 1:
+            return 1
+        jitter = self.rng.randint(-1, 1) if site.mean_trips > 2 else 0
+        return max(1, site.mean_trips + jitter)
 
 
 class TraceGenerator:
@@ -67,14 +196,19 @@ class TraceGenerator:
         #: flow paths (and therefore history patterns) *repeat*.
         self._type_weights = [1.0 / (r + 1) ** type_skew for r in range(request_types)]
         self._rng = random.Random(mix64(seed ^ 0xC0FFEE))
-        #: structural RNG of the current request; re-seeded deterministically
-        #: per request type so same-type requests follow identical paths
-        self._req_rng = self._rng
-        self._cond_history = 0
-        self._path_hashes: List[int] = [mix64(seed ^ 0x57AC)]  # root frame
-        self._occurrences: dict = {}
-        self._trace: Optional[Trace] = None
-        self._budget = 0
+        self._templates: Dict[int, _RequestTemplate] = {}
+        #: occurrence-counter slot of each conditional site's pc
+        self._slots: Dict[int, int] = {}
+
+    def _occurrence_slot(self, pc: int) -> int:
+        return self._slots.setdefault(pc, len(self._slots))
+
+    def _template(self, request_type: int) -> _RequestTemplate:
+        template = self._templates.get(request_type)
+        if template is None:
+            template = _TemplateBuilder(self, request_type).build()
+            self._templates[request_type] = template
+        return template
 
     # -- public API ---------------------------------------------------------
 
@@ -87,100 +221,76 @@ class TraceGenerator:
         """
         if num_branches <= 0:
             raise ValueError(f"num_branches must be positive, got {num_branches}")
-        trace = Trace(name=self.program.name, seed=self.seed)
-        self._trace = trace
-        self._budget = num_branches
-        self._cond_history = 0
-        self._path_hashes = [mix64(self.seed ^ 0x57AC)]
-        self._occurrences = {}
+        rng = self._rng
+        choices = rng.choices
         types = list(range(self.request_types))
+        weights = self._type_weights
+        stickiness = self.type_stickiness
+        occurrences: List[int] = []
+        history = 0
+        history_mask = _COND_HISTORY_MASK
+        requests: List[_RequestTemplate] = []
+        outcomes: List[bool] = []
+        gaps: List[float] = []
+        length = 0
         request_type = 0
-        first = True
-        while len(trace) < num_branches:
-            if first or self._rng.random() >= self.type_stickiness:
-                request_type = self._rng.choices(types, weights=self._type_weights, k=1)[0]
-            first = False
-            self._req_rng = random.Random(mix64(self.seed ^ 0xF00D ^ request_type))
-            self._execute_function(self.program.root, return_to=self.program.root.entry_pc)
+        while length < num_branches:
+            if not requests or rng.random() >= stickiness:
+                request_type = choices(types, weights=weights, k=1)[0]
+            template = self._template(request_type)
+            if len(occurrences) < len(self._slots):
+                occurrences.extend([0] * (len(self._slots) - len(occurrences)))
+            for shift, bits, outcome_of, slot, path_hash in template.conds:
+                history = ((history << shift) | bits) & history_mask
+                occurrence = occurrences[slot]
+                occurrences[slot] = occurrence + 1
+                taken = outcome_of(history, path_hash, occurrence)
+                outcomes.append(taken)
+                history = ((history << 1) | taken) & history_mask
+            history = ((history << template.tail_shift) | template.tail_bits) & history_mask
+            gaps.extend(self._gaps(len(template)))
+            requests.append(template)
+            length += len(template)
+        trace = self._assemble(requests, outcomes, gaps)
         trace.meta["requested_branches"] = num_branches
         trace.meta["request_types"] = self.request_types
         trace.meta["static_branches"] = self.program.static_branch_count()
-        self._trace = None
-        # Freeze the builder lists into columnar numpy: downstream tensor
-        # construction and artifact-store serialisation consume the arrays
-        # directly, and the hot loop re-materialises Python scalars once
-        # via Trace.aslists.
-        return trace.compact()
+        return trace
 
-    # -- execution engine ----------------------------------------------------
+    # -- replay helpers --------------------------------------------------------
 
-    def _gap(self) -> int:
-        """Sample the number of plain instructions before the next branch."""
+    def _gaps(self, count: int) -> List[float]:
+        """Unrounded plain-instruction counts before the next ``count`` branches.
+
+        Geometric-ish gaps with the requested mean; :meth:`_assemble`
+        truncates them to integers and bounds them for sanity.
+        """
         if self.mean_gap == 0:
-            return 0
-        # Geometric-ish gap with the requested mean; bounded for sanity.
-        gap = int(self._rng.expovariate(1.0 / self.mean_gap))
-        return min(gap, int(self.mean_gap * 8) + 1)
+            return [0.0] * count
+        expovariate = self._rng.expovariate
+        rate = 1.0 / self.mean_gap
+        return [expovariate(rate) for _ in range(count)]
 
-    def _emit(self, pc: int, target: int, kind: BranchKind, taken: bool) -> None:
-        assert self._trace is not None
-        self._trace.append(pc, target, kind, taken, self._gap())
-
-    def _context(self, pc: int) -> BehaviorContext:
-        occurrence = self._occurrences.get(pc, 0)
-        self._occurrences[pc] = occurrence + 1
-        return BehaviorContext(
-            cond_history=self._cond_history,
-            path_hash=self._path_hashes[-1],
-            occurrence=occurrence,
+    def _assemble(
+        self, requests: List[_RequestTemplate], outcomes: List[bool], gaps: List[float]
+    ) -> Trace:
+        """Concatenate the replayed templates into columnar numpy."""
+        trace = Trace(name=self.program.name, seed=self.seed)
+        for column in ("pcs", "targets", "kinds", "taken"):
+            setattr(trace, column, np.concatenate([getattr(r, column) for r in requests]))
+        offsets = np.cumsum([0] + [len(r) for r in requests[:-1]])
+        positions = np.concatenate([r.cond_pos + offset for r, offset in zip(requests, offsets)])
+        taken = np.asarray(outcomes, dtype=np.bool_)
+        trace.taken[positions] = taken
+        # a not-taken conditional falls through to the next instruction
+        fall_through = positions[~taken]
+        trace.targets[fall_through] = trace.pcs[fall_through] + np.uint64(4)
+        # gaps are non-negative, so the cast truncates exactly like int()
+        cap = int(self.mean_gap * 8) + 1
+        trace.inst_gaps = np.minimum(np.asarray(gaps).astype(np.int64), cap).astype(
+            COLUMN_DTYPES["inst_gaps"]
         )
-
-    def _record_cond_outcome(self, taken: bool) -> None:
-        self._cond_history = ((self._cond_history << 1) | int(taken)) & _COND_HISTORY_MASK
-
-    def _execute_function(self, function: Function, return_to: int) -> None:
-        for site in function.sites:
-            self._execute_site(site)
-        self._emit(function.exit_pc, return_to, BranchKind.RETURN, True)
-
-    def _execute_site(self, site: Site) -> None:
-        if isinstance(site, CondSite):
-            ctx = self._context(site.pc)
-            taken = site.behavior.outcome(ctx)
-            self._emit(site.pc, site.target if taken else site.pc + 4, BranchKind.COND, taken)
-            self._record_cond_outcome(taken)
-        elif isinstance(site, JumpSite):
-            self._emit(site.pc, site.target, BranchKind.JUMP, True)
-        elif isinstance(site, CallSite):
-            callee = self._pick_callee(site)
-            self._emit(site.pc, callee.entry_pc, BranchKind.CALL, True)
-            if len(self._path_hashes) <= self.max_call_depth:
-                self._path_hashes.append(mix64(self._path_hashes[-1] ^ site.pc))
-                self._execute_function(callee, return_to=site.pc + 4)
-                self._path_hashes.pop()
-            else:  # depth limit: treat the call as a leaf no-op
-                self._emit(callee.exit_pc, site.pc + 4, BranchKind.RETURN, True)
-        elif isinstance(site, LoopSite):
-            trips = self._sample_trips(site)
-            for trip in range(trips):
-                for inner in site.body:
-                    self._execute_site(inner)
-                last = trip == trips - 1
-                self._emit(site.pc, site.pc + 4 if last else site.target, BranchKind.COND, not last)
-                self._record_cond_outcome(not last)
-        else:  # pragma: no cover - exhaustive over the Site union
-            raise TypeError(f"unknown site type: {type(site).__name__}")
-
-    def _pick_callee(self, site: CallSite) -> Function:
-        if len(site.callees) == 1:
-            return site.callees[0]
-        return self._req_rng.choices(site.callees, weights=site.weights, k=1)[0]
-
-    def _sample_trips(self, site: LoopSite) -> int:
-        if site.mean_trips == 1:
-            return 1
-        jitter = self._req_rng.randint(-1, 1) if site.mean_trips > 2 else 0
-        return max(1, site.mean_trips + jitter)
+        return trace
 
 
 def generate_trace(

@@ -18,6 +18,7 @@ from repro.core import ResultCache, Runner, RunnerConfig
 from repro.obs.events import compact_events
 from repro.obs.ledger import (
     LEDGER_DIRNAME,
+    RESULT_DIGEST_VERSION,
     RunLedger,
     build_run_record,
     matrix_digest,
@@ -283,6 +284,39 @@ def test_run_record_carries_full_context(tmp_path):
     assert record["configs"] == CONFIGS
     assert record["branches"] == len(cells) * BRANCHES
     assert record["report"]["totals"]["cells"] == len(cells)
+
+
+def test_cell_order_changes_neither_digest(tmp_path, capsys):
+    """A matrix resubmitted in another cell order is the same run: one
+    matrix digest, one result digest, and no correctness alarm."""
+    cache_dir = tmp_path / "cache"
+    for configs in (CONFIGS, CONFIGS[::-1]):
+        argv = ["run", "--workload", WORKLOADS[0], "--branches", str(BRANCHES),
+                "--scale", str(SCALE), "--cache-dir", str(cache_dir)]
+        for name in configs:
+            argv += ["--config", name]
+        assert cli_main(argv) == 0
+    records = RunLedger(cache_dir / LEDGER_DIRNAME).records()
+    assert [r["configs"] for r in records] == [CONFIGS, CONFIGS[::-1]]
+    assert records[0]["matrix_digest"] == records[1]["matrix_digest"]
+    assert records[0]["result_digest"] == records[1]["result_digest"]
+    assert records[0]["result_digest_version"] == RESULT_DIGEST_VERSION
+    capsys.readouterr()
+    assert cli_main(["history", "regressions", "--cache-dir", str(cache_dir)]) == 0
+    assert "no flagged runs" in capsys.readouterr().out
+
+
+def test_older_digest_scheme_rebaselines_without_alarm(tmp_path):
+    """A baseline written before the digest scheme changed must not turn
+    the first run after the upgrade into a false correctness alarm."""
+    check_and_update(tmp_path, _bench_record())  # version-less: scheme 1
+    upgraded = _bench_record(result_digest="2" * 16, result_digest_version=RESULT_DIGEST_VERSION)
+    assert check_and_update(tmp_path, upgraded) == []
+    baseline = load_baselines(tmp_path)[baseline_key(upgraded)]
+    assert baseline["result_digest_version"] == RESULT_DIGEST_VERSION
+    # from then on, same-scheme digest changes alarm as before
+    flipped = _bench_record(result_digest="f" * 16, result_digest_version=RESULT_DIGEST_VERSION)
+    assert [f["kind"] for f in check_and_update(tmp_path, flipped)] == ["result_digest"]
 
 
 # -- Prometheus exposition --------------------------------------------------
